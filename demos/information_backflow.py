@@ -3,9 +3,10 @@
 Two states evolving under the same open dynamics can only get harder to
 distinguish while the evolution is divisible; intervals where their trace
 distance D(t) grows mark information returning from the environment.  The
-measure N_BLP maximizes the accumulated growth over initial state pairs:
-a Fibonacci-sphere grid of antipodal pure pairs plus random pairs, refined
-by Nelder-Mead over the pair angles.
+measure N_BLP maximizes the accumulated growth over initial state pairs.
+Every pair is dominated by the antipodal pure pair along its Bloch
+difference, so the search runs over directions only: a Fibonacci-sphere
+grid, refined by Nelder-Mead over the two angles.
 
 Run:  python demos/information_backflow.py
 """
@@ -32,9 +33,10 @@ print(f"  best pair Bloch difference (dx, dy, dz) = "
 
 # The winning pair sits on the poles of the dressed z axis: its distance is
 # driven by the population rates, whose negative windows are the deepest.
+D_best = report.distance
+sigma_best = np.gradient(D_best, report.grid, edge_order=2)
 maps = bloch_map_grid(spec, report.grid)
-D_best, sigma_best = pair_distance_series(maps, report.grid, report.best_deltas)
-D_eq, _ = pair_distance_series(maps, report.grid, np.array([2.0, 0.0, 0.0]))
+D_eq = pair_distance_series(maps, np.array([2.0, 0.0, 0.0]))
 emit_plot(
     [("best pair", report.grid, D_best), ("equatorial pair", report.grid, D_eq)],
     os.path.join(OUT, "trace_distance.svg"),

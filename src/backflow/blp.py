@@ -16,10 +16,12 @@ Pairs of 2x2 density matrices evolve through the same linear map, so their
 Bloch-vector difference evolves through the 3x3 linear part R(t) of the
 propagator and D(t) = ||R(t) delta(0)|| / 2.  The pair search exploits this:
 one propagator integration per scenario, then every candidate pair costs a
-few matrix-vector products.  The search itself is restricted to pure initial
-states (extrema of the convex objective sit there): antipodal pairs on a
-Fibonacci sphere grid, a batch of random pure pairs, then Nelder-Mead
-refinement over the four angles of the best candidates.
+few matrix-vector products.  D and the sum of its rises are 1-homogeneous in
+delta, and |delta| <= 2, so every pair is dominated by the antipodal pure
+pair (u, -u) along u = delta / |delta| (optimal qubit pairs are antipodal:
+Wissmann et al., PRA 86, 062108 (2012)).  The search therefore runs over unit
+directions only: a Fibonacci sphere grid, then Nelder-Mead refinement over
+the two angles of the best grid directions.
 
 Closed forms for sigma exist in the secular regime, the resonant nonsecular
 reduction, and the undriven model.  As with the divisibility measure, the
@@ -183,20 +185,27 @@ def sigma_undriven_analytic(deltas, times, params: UndrivenParams) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 
+#: Nelder-Mead iteration cap per refined direction.
+NM_MAX_ITER = 200
+
+
 @dataclass(frozen=True)
 class SearchConfig:
-    """Sizes and seed of the two-stage pair search."""
+    """Sizes of the two-stage direction search."""
 
     n_directions: int = 128
-    n_random_pairs: int = 64
     n_refine: int = 3
-    seed: int = 0
-    nm_max_iter: int = 200
+
+    def __post_init__(self):
+        if self.n_directions < 1 or self.n_refine < 0:
+            raise ValueError(
+                f"need n_directions >= 1 and n_refine >= 0, got {self.n_directions}, {self.n_refine}"
+            )
 
 
 @dataclass(frozen=True)
 class BlpReport:
-    """Backflow measure, the maximizing pair, and the search record."""
+    """Backflow measure, the maximizing pair with its distance D, and the search record."""
 
     measure: float
     best_pair: StatePair
@@ -204,6 +213,7 @@ class BlpReport:
     stage1_values: np.ndarray
     n_evaluations: int
     grid: np.ndarray
+    distance: np.ndarray
     config: SearchConfig
 
 
@@ -228,11 +238,10 @@ def bloch_map_grid(spec: GeneratorSpec, grid, substep: float = 1e-3) -> np.ndarr
     return bloch_linear_grid(propagator_grid(spec, grid, substep=substep))
 
 
-def pair_distance_series(linear_maps: np.ndarray, grid: np.ndarray, delta0) -> tuple[np.ndarray, np.ndarray]:
-    """Trace distance and its derivative for one pair difference vector."""
+def pair_distance_series(linear_maps: np.ndarray, delta0) -> np.ndarray:
+    """Trace distance D on the grid of the maps for one pair difference vector."""
     y = np.einsum("nij,j->ni", linear_maps, np.asarray(delta0, dtype=float))
-    D = 0.5 * np.linalg.norm(y, axis=1)
-    return D, np.gradient(D, grid, edge_order=2)
+    return 0.5 * np.linalg.norm(y, axis=1)
 
 
 def backflow_of(D: np.ndarray) -> float:
@@ -260,13 +269,13 @@ def blp_measure(
     config: SearchConfig = SearchConfig(),
     substep: float = 1e-3,
 ) -> BlpReport:
-    """Maximize the accumulated backflow over pure initial state pairs.
+    """Maximize the accumulated backflow over antipodal pure pairs (u, -u).
 
-    Stage 1 scores antipodal pairs on a Fibonacci sphere grid plus seeded
-    random pure pairs; stage 2 runs Nelder-Mead over the pair angles from the
-    best stage-1 candidates (ties broken by candidate order).  The pair
-    objective is the exact sum of rises of D on the grid (``backflow_of``).
-    The reported measure dominates every pair objective evaluated along the
+    Stage 1 scores the unit directions of a Fibonacci sphere grid; stage 2
+    runs Nelder-Mead over the two angles of u from the best stage-1
+    directions (ties broken by grid order).  The pair objective is the exact
+    sum of rises of D on the grid (``backflow_of``).  The reported measure,
+    pair and distance are those of the best direction evaluated along the
     way.
     """
     if T_max <= 0:
@@ -276,51 +285,30 @@ def blp_measure(
     maps = bloch_map_grid(spec, grid, substep=substep)
 
     evaluations = 0
+    best_value, best_u, best_D = -math.inf, None, None
 
-    def objective(delta0) -> float:
-        nonlocal evaluations
+    def objective(u: np.ndarray) -> float:
+        nonlocal evaluations, best_value, best_u, best_D
         evaluations += 1
-        D, _ = pair_distance_series(maps, grid, delta0)
-        return backflow_of(D)
+        D = pair_distance_series(maps, 2.0 * u)
+        value = backflow_of(D)
+        if value > best_value:
+            best_value, best_u, best_D = value, u, D
+        return value
 
-    candidates: list[tuple[float, np.ndarray, np.ndarray]] = []
-    for direction in fibonacci_sphere(config.n_directions):
-        candidates.append((objective(2.0 * direction), direction, -direction))
-    rng = np.random.default_rng(config.seed)
-    for _ in range(config.n_random_pairs):
-        v1 = rng.standard_normal(3)
-        v2 = rng.standard_normal(3)
-        v1 /= np.linalg.norm(v1)
-        v2 /= np.linalg.norm(v2)
-        candidates.append((objective(v1 - v2), v1, v2))
-
-    values = np.array([c[0] for c in candidates])
-    order = np.argsort(-values, kind="stable")
-
-    best_value, best_v1, best_v2 = candidates[int(order[0])]
-
-    def nm_objective(x) -> float:
-        nonlocal best_value, best_v1, best_v2
-        v1 = _direction(x[0], x[1])
-        v2 = _direction(x[2], x[3])
-        val = objective(v1 - v2)
-        if val > best_value:
-            best_value, best_v1, best_v2 = val, v1, v2
-        return -val
-
-    for idx in order[: config.n_refine]:
-        _, v1, v2 = candidates[int(idx)]
-        x0 = np.array([*_angles(v1), *_angles(v2)])
+    directions = fibonacci_sphere(config.n_directions)
+    values = np.array([objective(u) for u in directions])
+    for idx in np.argsort(-values, kind="stable")[: config.n_refine]:
         minimize(
-            nm_objective,
-            x0,
+            lambda x: -objective(_direction(*x)),
+            _angles(directions[idx]),
             method="Nelder-Mead",
-            options={"maxiter": config.nm_max_iter, "xatol": 1e-4, "fatol": 1e-10},
+            options={"maxiter": NM_MAX_ITER, "xatol": 1e-4, "fatol": 1e-10},
         )
 
     pair = StatePair(
-        rho1=QubitState.from_bloch(*best_v1),
-        rho2=QubitState.from_bloch(*best_v2),
+        rho1=QubitState.from_bloch(*best_u),
+        rho2=QubitState.from_bloch(*-best_u),
     )
     return BlpReport(
         measure=best_value,
@@ -329,5 +317,6 @@ def blp_measure(
         stage1_values=values,
         n_evaluations=evaluations,
         grid=grid,
+        distance=best_D,
         config=config,
     )

@@ -2,8 +2,7 @@
 
 Subcommands: rates, evolve, rhp, blp, compare, sweep.  Series go to CSV
 (with a full provenance header), scalar summaries to JSON, plots to SVG.
-Runs are deterministic for identical flags: one seed (default 0) drives
-every stochastic choice.
+Runs are deterministic: identical flags give identical output.
 
 Parameters come from built-in defaults, overridden by a flat key = value
 config file (keys: omega_A, omega_L, Omega, alpha, lambda, omega_0; blank
@@ -113,9 +112,7 @@ def _driven_spec(args, values) -> GeneratorSpec:
 def _provenance(args, values, **extra) -> dict:
     prov = {"command": args.command, "version": __version__, "regime": args.regime}
     prov.update({k: values[k] for k in sorted(values)})
-    prov.update(
-        tmax=args.tmax, step=args.step, substep=args.substep, seed=args.seed
-    )
+    prov.update(tmax=args.tmax, step=args.step, substep=args.substep)
     prov.update(extra)
     return prov
 
@@ -297,8 +294,7 @@ def cmd_blp(args) -> int:
         n = max(1, int(round(t_max / step)))
         grid = np.linspace(0.0, t_max, n + 1)
         maps = bloch_map_grid(spec, grid, substep=substep)
-        delta0 = r1.bloch - r2.bloch
-        D, sigma = pair_distance_series(maps, grid, delta0)
+        D = pair_distance_series(maps, r1.bloch - r2.bloch)
         summary = {
             "mode": "fixed-pair",
             "pair_backflow": backflow_of(D),
@@ -308,17 +304,9 @@ def cmd_blp(args) -> int:
         prov = _provenance(args, values, generator=spec.regime,
                            pair1=args.pair1, pair2=args.pair2)
     else:
-        config = SearchConfig(
-            n_directions=args.directions,
-            n_random_pairs=args.random_pairs,
-            n_refine=args.refine,
-            seed=args.seed,
-        )
+        config = SearchConfig(n_directions=args.directions, n_refine=args.refine)
         report = blp_measure(spec, T_max=t_max, step=step, config=config, substep=substep)
-        grid = report.grid
-        maps = bloch_map_grid(spec, grid, substep=substep)
-        delta0 = np.asarray(report.best_deltas)
-        D, sigma = pair_distance_series(maps, grid, delta0)
+        grid, D = report.grid, report.distance
         top = np.sort(report.stage1_values)[::-1][:5]
         summary = {
             "mode": "search",
@@ -328,16 +316,11 @@ def cmd_blp(args) -> int:
             "best_deltas": list(report.best_deltas),
             "n_evaluations": report.n_evaluations,
             "stage1_top_values": [float(v) for v in top],
-            "search": {
-                "directions": config.n_directions,
-                "random_pairs": config.n_random_pairs,
-                "refine": config.n_refine,
-                "seed": config.seed,
-            },
+            "search": {"directions": config.n_directions, "refine": config.n_refine},
         }
         prov = _provenance(args, values, generator=spec.regime,
-                           directions=config.n_directions,
-                           random_pairs=config.n_random_pairs, refine=config.n_refine)
+                           directions=config.n_directions, refine=config.n_refine)
+    sigma = np.gradient(D, grid, edge_order=2)
     rows = zip(grid, D, sigma)
     _emit(args, prov, ["t", "D", "sigma"], rows, summary)
     if args.plot:
@@ -348,9 +331,7 @@ def cmd_blp(args) -> int:
 
 def cmd_compare(args) -> int:
     values = _resolved_values(args)
-    report = run_compare(
-        values, T_max=args.tmax, step=args.step, substep=args.substep, seed=args.seed
-    )
+    report = run_compare(values, T_max=args.tmax, step=args.step, substep=args.substep)
     _write_json(args.json if args.json else args.out, report)
     return 0
 
@@ -385,7 +366,6 @@ def cmd_sweep(args) -> int:
             T_max=args.tmax,
             step=args.step,
             substep=args.substep,
-            seed=args.seed,
         )
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
@@ -431,7 +411,6 @@ def build_parser() -> _Parser:
                         help="horizon in units of 1/lambda (default 30)")
     common.add_argument("--step", type=float, default=1e-2, help="output grid step")
     common.add_argument("--substep", type=float, default=1e-3, help="RK4 substep")
-    common.add_argument("--seed", type=int, default=0, help="random seed")
     common.add_argument("--out", help="CSV output path (default stdout)")
     common.add_argument("--json", help="JSON summary path")
     common.add_argument("--plot", help="SVG plot path")
@@ -456,7 +435,6 @@ def build_parser() -> _Parser:
     p_blp = sub.add_parser("blp", parents=[common], help="information-backflow measure")
     p_blp.add_argument("--directions", type=int, default=128,
                        help="antipodal sphere-grid directions")
-    p_blp.add_argument("--random-pairs", type=int, default=64)
     p_blp.add_argument("--refine", type=int, default=3,
                        help="stage-1 candidates refined by Nelder-Mead")
     p_blp.add_argument("--pair1", help="fixed-pair mode: first Bloch vector x,y,z")

@@ -170,8 +170,8 @@ def g_secular_analytic(sample: RateSample, coeffs: Coefficients, literature_form
     return 0.5 * val if literature_form else val
 
 
-def g_nonsecular_analytic(gamma: float, coeffs: Coefficients, literature_form: bool = False) -> float:
-    """Single-channel nonsecular g from the common rate."""
+def g_nonsecular_analytic(gamma, coeffs: Coefficients, literature_form: bool = False):
+    """Single-channel nonsecular g from the common rate, elementwise."""
     c = coeffs
     if literature_form:
         return (c.c_plus**2 + c.c_minus**2 + 2.0 * c.c_zero) * negative_part(gamma) / 2.0
@@ -201,9 +201,7 @@ def g_analytic_grid(spec: GeneratorSpec, times, literature_form: bool = False):
     if spec.regime == "simplified_nonsecular":
         params = spec.params
         gammas, _ = rate_table(times, params.regime.s, 0.0, params.reservoir.alpha)
-        return np.array(
-            [g_nonsecular_analytic(g, params.coeffs, literature_form) for g in gammas[1]]
-        )
+        return g_nonsecular_analytic(gammas[1], params.coeffs, literature_form)
     if spec.regime == "undriven":
         u = spec.params
         G = np.atleast_1d(nondriven_envelope(times, u.alpha, u.lambda_width))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blp import SearchConfig, blp_measure
+from .blp import blp_measure
 from .dynamics import DEFAULT_T_MAX
 from .generator import GeneratorSpec
 from .params import (
@@ -137,7 +137,6 @@ class SweepSpec:
     T_max: float = DEFAULT_T_MAX
     step: float = 1e-2
     substep: float = 1e-3
-    seed: int = 0
 
     def __post_init__(self):
         if not 1 <= len(self.axes) <= 2:
@@ -192,13 +191,7 @@ def _sweep_point(spec: SweepSpec, point: dict) -> dict:
         row["n_rhp"] = report.measure
         row["rhp_integral"] = report.integral
     if spec.outputs in ("blp", "both-measures"):
-        report = blp_measure(
-            gen_spec,
-            T_max=T_max,
-            step=step,
-            config=SearchConfig(seed=spec.seed),
-            substep=substep,
-        )
+        report = blp_measure(gen_spec, T_max=T_max, step=step, substep=substep)
         row["n_blp"] = report.measure
     return row
 
@@ -233,7 +226,6 @@ def run_compare(
     T_max: float = DEFAULT_T_MAX,
     step: float = 1e-2,
     substep: float = 1e-3,
-    seed: int = 0,
 ) -> dict:
     """Measure the undriven qubit and the driven qubit in the same reservoir.
 
@@ -248,17 +240,13 @@ def run_compare(
     u_spec = GeneratorSpec("undriven", uparams)
     u_T = T_max / lam
     u_rhp = rhp_measure(u_spec, T_max=u_T, step=step / lam, method="analytic").measure
-    u_blp = blp_measure(
-        u_spec, T_max=u_T, step=step / lam, config=SearchConfig(seed=seed), substep=substep / lam
-    ).measure
+    u_blp = blp_measure(u_spec, T_max=u_T, step=step / lam, substep=substep / lam).measure
 
     model = build_model(values)
     regime = pick_regime("auto", model)
     d_spec = GeneratorSpec(regime, model)
     d_rhp = rhp_measure(d_spec, T_max=T_max, step=step, method="auto").measure
-    d_blp = blp_measure(
-        d_spec, T_max=T_max, step=step, config=SearchConfig(seed=seed), substep=substep
-    ).measure
+    d_blp = blp_measure(d_spec, T_max=T_max, step=step, substep=substep).measure
 
     undriven_markovian = max(u_rhp, u_blp) <= MARKOVIAN_TOL
     driven_non_markovian = min(d_rhp, d_blp) >= NON_MARKOVIAN_TOL

@@ -259,7 +259,8 @@ class TestCriterion5StructuralInvariants:
         worst = 0.0
         for _ in range(100):
             delta = random_bloch(rng) - random_bloch(rng)
-            D, sig = pair_distance_series(maps, grid, delta)
+            D = pair_distance_series(maps, delta)
+            sig = np.gradient(D, grid, edge_order=2)
             worst = max(worst, abs(float(np.trapezoid(sig, grid)) - float(D[-1] - D[0])))
         report("5 (FTC)", worst <= 1e-6,
                f"max|int sigma - dD|={worst:.3e} over 100 pairs (tol 1e-6)")

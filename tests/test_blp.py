@@ -217,8 +217,8 @@ class TestFundamentalTheorem:
         maps = bloch_map_grid(spec, grid)
         for _ in range(20):
             delta = random_bloch(rng) - random_bloch(rng)
-            D, sig = pair_distance_series(maps, grid, delta)
-            integral = np.trapezoid(sig, grid)
+            D = pair_distance_series(maps, delta)
+            integral = np.trapezoid(np.gradient(D, grid, edge_order=2), grid)
             assert abs(integral - (D[-1] - D[0])) < 1e-6
 
 
@@ -264,8 +264,7 @@ class TestSearch:
         assert report.measure > 1e-4
         # the max dominates the fixed equatorial antipodal candidate
         maps = bloch_map_grid(spec, report.grid)
-        D, _ = pair_distance_series(maps, report.grid, np.array([2.0, 0.0, 0.0]))
-        equatorial = backflow_of(D)
+        equatorial = backflow_of(pair_distance_series(maps, np.array([2.0, 0.0, 0.0])))
         assert report.measure >= equatorial - 1e-15
 
     def test_objective_sums_the_rises(self):
@@ -277,14 +276,15 @@ class TestSearch:
         report = blp_measure(GeneratorSpec("simplified_nonsecular", model), T_max=20.0)
         assert report.measure >= report.stage1_values.max()
 
-    def test_deterministic_given_seed(self):
+    def test_repeat_runs_identical(self):
         spec = GeneratorSpec("undriven", UndrivenParams(alpha=1.0, lambda_width=1.0))
-        cfg = SearchConfig(n_directions=16, n_random_pairs=8, n_refine=1, seed=3)
+        cfg = SearchConfig(n_directions=16, n_refine=1)
         a = blp_measure(spec, T_max=15.0, config=cfg)
         b = blp_measure(spec, T_max=15.0, config=cfg)
         assert a.measure == b.measure
         assert a.best_deltas == b.best_deltas
         assert a.n_evaluations == b.n_evaluations
+        assert np.array_equal(a.distance, b.distance)
 
     def test_fibonacci_sphere_units(self):
         pts = fibonacci_sphere(128)
@@ -293,7 +293,56 @@ class TestSearch:
 
     def test_pure_pair_states_reported(self):
         spec = GeneratorSpec("undriven", UndrivenParams(alpha=1.0, lambda_width=1.0))
-        cfg = SearchConfig(n_directions=32, n_random_pairs=8, n_refine=1)
+        cfg = SearchConfig(n_directions=32, n_refine=1)
         report = blp_measure(spec, T_max=15.0, config=cfg)
         assert report.best_pair.rho1.purity == pytest.approx(1.0, abs=1e-9)
         assert report.best_pair.rho2.purity == pytest.approx(1.0, abs=1e-9)
+
+    def test_reported_distance_is_the_best_pairs(self):
+        spec = GeneratorSpec("undriven", UndrivenParams(alpha=1.0, lambda_width=1.0))
+        report = blp_measure(spec, T_max=15.0, config=SearchConfig(n_directions=16, n_refine=1))
+        assert backflow_of(report.distance) == report.measure
+        maps = bloch_map_grid(spec, report.grid)
+        D = pair_distance_series(maps, report.best_deltas)
+        assert np.abs(D - report.distance).max() < 1e-12
+
+
+class TestAntipodalDominance:
+    """The search covers antipodal pairs only; pairs off that set are the
+    independent oracle.  D is 1-homogeneous in delta and |v1 - v2| < 2 for
+    a non-antipodal pure pair, so none may score above the measure."""
+
+    SPECS = {
+        "secular": GeneratorSpec(
+            "secular", ModelParams.from_dimensionless(s=1.0, p=10.0, alpha=0.5)),
+        "full_nonsecular": GeneratorSpec(
+            "full_nonsecular", ModelParams.from_dimensionless(s=1.0, p=1.0, alpha=0.5)),
+        "simplified_nonsecular": GeneratorSpec(
+            "simplified_nonsecular", ModelParams.from_dimensionless(s=5.0, p=0.01, alpha=0.5)),
+        "undriven": GeneratorSpec("undriven", UndrivenParams(alpha=1.0, lambda_width=1.0)),
+    }
+
+    @pytest.mark.parametrize("regime", sorted(SPECS))
+    def test_random_pure_pairs_never_beat_the_measure(self, regime):
+        spec = self.SPECS[regime]
+        report = blp_measure(spec, T_max=20.0)
+        maps = bloch_map_grid(spec, report.grid)
+        rng = np.random.default_rng(0)
+        worst = 0.0
+        for _ in range(64):
+            v1, v2 = random_bloch(rng, pure=True), random_bloch(rng, pure=True)
+            assert np.linalg.norm(v1 - v2) < 2.0 - 1e-9
+            worst = max(worst, backflow_of(pair_distance_series(maps, v1 - v2)))
+        assert report.measure > 0.0
+        assert worst <= report.measure + 1e-12
+
+    def test_backflow_is_homogeneous_in_delta(self, rng):
+        spec = self.SPECS["undriven"]
+        grid = np.linspace(0.0, 15.0, 1501)
+        maps = bloch_map_grid(spec, grid)
+        for _ in range(50):
+            delta = random_bloch(rng) - random_bloch(rng)
+            c = rng.uniform(0.01, 5.0)
+            scaled = backflow_of(pair_distance_series(maps, c * delta))
+            assert scaled == pytest.approx(c * backflow_of(pair_distance_series(maps, delta)),
+                                           rel=1e-12, abs=1e-15)

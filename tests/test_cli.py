@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import backflow.blp
+import backflow.cli
 from backflow.cli import main
 from backflow.plotting import emit_plot
 
@@ -87,7 +89,7 @@ class TestBlp:
     def test_search_summary(self, tmp_path):
         js = tmp_path / "blp.json"
         code = main(["blp", "--regime", "undriven", "--alpha", "1.0", "--tmax", "15",
-                     "--directions", "16", "--random-pairs", "8", "--refine", "1",
+                     "--directions", "16", "--refine", "1",
                      "--out", str(tmp_path / "blp.csv"), "--json", str(js)])
         assert code == 0
         payload = json.loads(js.read_text())
@@ -109,7 +111,7 @@ class TestBlp:
         # search's own objective, so it gives back n_blp
         common = ["blp", "--regime", "undriven", "--alpha", "1.0", "--tmax", "15"]
         search = tmp_path / "search.json"
-        assert main(common + ["--directions", "16", "--random-pairs", "8",
+        assert main(common + ["--directions", "16",
                               "--refine", "1", "--json", str(search),
                               "--out", str(tmp_path / "search.csv")]) == 0
         found = json.loads(search.read_text())
@@ -120,13 +122,33 @@ class TestBlp:
         assert json.loads(fixed.read_text())["pair_backflow"] == pytest.approx(
             found["n_blp"], rel=1e-12)
 
+    def test_search_integrates_the_maps_once(self, tmp_path, monkeypatch):
+        # the CSV's D comes from the search's best pair, not a second propagator run
+        calls = []
+        original = backflow.blp.bloch_map_grid
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(backflow.blp, "bloch_map_grid", counting)
+        monkeypatch.setattr(backflow.cli, "bloch_map_grid", counting)
+        assert main(["blp", "--regime", "secular", "--Omega", "10", "--tmax", "5",
+                     "--directions", "8", "--refine", "1",
+                     "--out", str(tmp_path / "b.csv"), "--json", str(tmp_path / "b.json")]) == 0
+        assert len(calls) == 1
+
+    def test_bad_search_sizes_are_input_errors(self):
+        # a negative --refine would slice the ranking from the end
+        assert main(["blp", "--directions", "0"]) == 1
+        assert main(["blp", "--refine", "-1"]) == 1
+
     def test_pair_flags_must_come_together(self):
         assert main(["blp", "--pair1", "1,0,0"]) == 1
 
     def test_search_byte_deterministic(self, tmp_path):
         args = ["blp", "--regime", "undriven", "--alpha", "1.0", "--tmax", "15",
-                "--directions", "12", "--random-pairs", "6", "--refine", "1",
-                "--seed", "5"]
+                "--directions", "12", "--refine", "1"]
         paths = []
         for tag in ("a", "b"):
             csv = tmp_path / f"{tag}.csv"

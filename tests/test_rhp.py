@@ -3,7 +3,7 @@ import pytest
 
 from backflow.generator import GeneratorSpec, compile_generator
 from backflow.params import Coefficients, ModelParams, UndrivenParams
-from backflow.rates import nondriven_rate, rate_sample
+from backflow.rates import nondriven_rate, rate_sample, rate_table
 from backflow.rhp import (
     BELL_STATE,
     ChoiProbe,
@@ -65,6 +65,19 @@ class TestClosedForms:
         )
         # corrected weight collapses to P(gamma) exactly
         assert g_nonsecular_analytic(-0.3, RESONANT) == pytest.approx(0.3)
+
+    @pytest.mark.parametrize("literature_form", [False, True])
+    def test_nonsecular_grid_equals_pointwise(self, literature_form):
+        # the array call must give exactly the per-point scalar values
+        params = ModelParams.from_dimensionless(s=5.0, p=0.01, alpha=0.5, Delta=1.0, Omega=1.0)
+        times = np.linspace(0.0, 30.0, 3001)
+        grid_g = g_analytic_grid(GeneratorSpec("simplified_nonsecular", params), times,
+                                 literature_form)
+        gammas = rate_table(times, 5.0, 0.0, 0.5)[0][1]
+        pointwise = [g_nonsecular_analytic(float(g), params.coeffs, literature_form)
+                     for g in gammas]
+        assert grid_g.max() > 0.0
+        assert np.array_equal(grid_g, pointwise)
 
     def test_undriven_values(self):
         assert g_undriven_analytic(0.2) == 0.0
