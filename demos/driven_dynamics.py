@@ -3,7 +3,7 @@
 The same initial state is propagated under the strong-secular generator
 (fast dressed precession, three independent channels) and under the
 single-channel nonsecular reduction (slow drive, one jump operator damping
-toward the dressed x axis).  The integrator is plain fixed-step RK4 on the
+toward the dressed x axis).  The integrator is 4th-order Magnus on the
 vectorized density matrix; states stay Hermitian, unit-trace and positive to
 working precision.
 

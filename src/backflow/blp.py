@@ -42,6 +42,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.optimize import minimize
 
 from .dynamics import (
+    DEFAULT_SUBSTEP,
     QubitState,
     Trajectory,
     bloch_linear_grid,
@@ -226,7 +227,7 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
-def bloch_map_grid(spec: GeneratorSpec, grid, substep: float = 1e-3) -> np.ndarray:
+def bloch_map_grid(spec: GeneratorSpec, grid, substep: float = DEFAULT_SUBSTEP) -> np.ndarray:
     """Linear Bloch-map parts R(t) on the grid for any regime: (N, 3, 3).
 
     The undriven regime uses the exact envelope map (valid through rate
@@ -267,7 +268,7 @@ def blp_measure(
     T_max: float = 30.0,
     step: float = DEFAULT_STEP,
     config: SearchConfig = SearchConfig(),
-    substep: float = 1e-3,
+    substep: float = DEFAULT_SUBSTEP,
 ) -> BlpReport:
     """Maximize the accumulated backflow over antipodal pure pairs (u, -u).
 
@@ -278,8 +279,9 @@ def blp_measure(
     pair and distance are those of the best direction evaluated along the
     way.
     """
-    if T_max <= 0:
-        raise ValueError("T_max must be positive")
+    for name, value in (("T_max", T_max), ("step", step)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     n = max(1, int(round(T_max / step)))
     grid = np.linspace(0.0, T_max, n + 1)
     maps = bloch_map_grid(spec, grid, substep=substep)

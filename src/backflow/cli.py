@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .blp import SearchConfig, backflow_of, bloch_map_grid, blp_measure, pair_distance_series
-from .dynamics import IntegrationError, QubitState, evolve
+from .dynamics import DEFAULT_SUBSTEP, IntegrationError, QubitState, evolve
 from .generator import GeneratorSpec
 from .params import UndrivenParams
 from .rates import PoleError, nondriven_first_pole, nondriven_rate, rate_table
@@ -147,6 +147,18 @@ def _emit(args, provenance, columns, rows, summary=None):
     _write_csv(args.out, provenance, columns, rows)
     if summary is not None and args.json is not None:
         _write_json(args.json, summary)
+
+
+def _positive_float(text: str) -> float:
+    """Argument type of --tmax, --step and --substep: a finite number > 0."""
+    try:
+        value = float(text)
+        ok = np.isfinite(value) and value > 0
+    except ValueError:
+        ok = False
+    if not ok:
+        raise argparse.ArgumentTypeError(f"expects a finite positive number, got {text!r}")
+    return value
 
 
 def _parse_triple(text: str, flag: str) -> tuple[float, float, float]:
@@ -407,10 +419,11 @@ def build_parser() -> _Parser:
     common.add_argument("--omegaA", dest="omega_A", type=float, help="qubit splitting")
     common.add_argument("--Omega", dest="Omega", type=float, help="Rabi frequency")
     common.add_argument("--regime", choices=REGIME_CHOICES, default="auto")
-    common.add_argument("--tmax", type=float, default=30.0,
+    common.add_argument("--tmax", type=_positive_float, default=30.0,
                         help="horizon in units of 1/lambda (default 30)")
-    common.add_argument("--step", type=float, default=1e-2, help="output grid step")
-    common.add_argument("--substep", type=float, default=1e-3, help="RK4 substep")
+    common.add_argument("--step", type=_positive_float, default=1e-2, help="output grid step")
+    common.add_argument("--substep", type=_positive_float, default=DEFAULT_SUBSTEP,
+                        help="largest 4th-order Magnus step (default: the grid step 0.01)")
     common.add_argument("--out", help="CSV output path (default stdout)")
     common.add_argument("--json", help="JSON summary path")
     common.add_argument("--plot", help="SVG plot path")

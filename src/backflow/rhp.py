@@ -278,8 +278,9 @@ def rhp_measure(
     method is 'numeric', 'analytic', 'both', or 'auto' (analytic when the
     regime has a closed form, else numeric).
     """
-    if T_max <= 0:
-        raise ValueError("T_max must be positive")
+    for name, value in (("T_max", T_max), ("step", step)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     n = max(1, int(round(T_max / step)))
     grid = np.linspace(0.0, T_max, n + 1)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blp import blp_measure
-from .dynamics import DEFAULT_T_MAX
+from .dynamics import DEFAULT_SUBSTEP, DEFAULT_T_MAX
 from .generator import GeneratorSpec
 from .params import (
     DriveParams,
@@ -136,7 +136,7 @@ class SweepSpec:
     fixed: dict = field(default_factory=dict)
     T_max: float = DEFAULT_T_MAX
     step: float = 1e-2
-    substep: float = 1e-3
+    substep: float = DEFAULT_SUBSTEP
 
     def __post_init__(self):
         if not 1 <= len(self.axes) <= 2:
@@ -225,7 +225,7 @@ def run_compare(
     values: dict | None = None,
     T_max: float = DEFAULT_T_MAX,
     step: float = 1e-2,
-    substep: float = 1e-3,
+    substep: float = DEFAULT_SUBSTEP,
 ) -> dict:
     """Measure the undriven qubit and the driven qubit in the same reservoir.
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from backflow.generator import compile_generator
+
 
 @pytest.fixture
 def rng():
@@ -20,3 +22,66 @@ def random_bloch(rng, pure: bool = False) -> np.ndarray:
     if pure:
         return v
     return v * rng.uniform(0.0, 1.0) ** (1.0 / 3.0)
+
+
+def apply_propagators(props: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """States Phi_k[rho] for a stack of column-stacked superoperators: (N, 2, 2)."""
+    return (props @ np.asarray(rho).T.reshape(-1)).reshape(-1, 2, 2).transpose(0, 2, 1)
+
+
+def _integration_plan(grid: np.ndarray, substep: float):
+    """Substep start times, sizes, and the substep index ending each grid point."""
+    if substep <= 0:
+        raise ValueError("substep must be positive")
+    starts, sizes, grid_marks = [], [], []
+    for k in range(grid.size - 1):
+        t0, t1 = grid[k], grid[k + 1]
+        d = t1 - t0
+        n_full = int(np.floor(d / substep + 1e-12))
+        rem = d - n_full * substep
+        steps = [substep] * n_full
+        if rem > 1e-12 * max(substep, d):
+            steps.append(rem)
+        elif n_full == 0:
+            steps.append(d)
+        acc = t0
+        for hstep in steps:
+            starts.append(acc)
+            sizes.append(hstep)
+            acc += hstep
+        grid_marks.append(len(starts))
+    return np.asarray(starts), np.asarray(sizes), grid_marks
+
+
+def rk4_propagators(spec, grid, substep: float, chunk: int = 20000) -> np.ndarray:
+    """Propagators Phi(t_k, grid[0]) by classical RK4: (N, 4, 4).
+
+    The test oracle for the program's Magnus propagator: each grid interval
+    is covered by full substeps of size ``substep`` plus one shortened final
+    substep, the one-step RK4 matrices are built in batches of ``chunk``
+    substeps (bounded memory at small substeps) and multiplied up in
+    sequence.
+    """
+    grid = np.asarray(grid, dtype=float)
+    starts, sizes, marks = _integration_plan(grid, substep)
+    gen = compile_generator(spec)
+    out = np.empty((grid.size, 4, 4), dtype=complex)
+    out[0] = np.eye(4)
+    M = out[0]
+    k = 0
+    for lo in range(0, starts.size, chunk):
+        a, h = starts[lo : lo + chunk], sizes[lo : lo + chunk]
+        L_start, L_mid, L_end = gen.batch(a), gen.batch(a + h / 2.0), gen.batch(a + h)
+        eye = np.broadcast_to(np.eye(4, dtype=complex), L_start.shape)
+        h = h[:, None, None]
+        K1 = L_start
+        K2 = L_mid @ (eye + 0.5 * h * K1)
+        K3 = L_mid @ (eye + 0.5 * h * K2)
+        K4 = L_end @ (eye + h * K3)
+        steps = eye + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+        for j, step in enumerate(steps, start=lo + 1):
+            M = step @ M
+            if j == marks[k]:
+                k += 1
+                out[k] = M
+    return out

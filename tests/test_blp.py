@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.integrate import cumulative_trapezoid
+from scipy.integrate import cumulative_simpson, cumulative_trapezoid
 
 from backflow.blp import (
     SearchConfig,
@@ -165,6 +165,34 @@ class TestSigmaResonant:
         assert sig.max() <= 1e-12
 
 
+class TestResonantReductionGap:
+    """simplified_nonsecular N_BLP against the resonant closed form of its
+    best pair.  The closed form drops the O(p) rotation by the drive, so the
+    two agree as p -> 0 and their gap shrinks as p^2."""
+
+    @staticmethod
+    def closed_form_backflow(model, deltas, grid, refine=100):
+        # D(0) plus the integral of the closed-form sigma (Simpson on a grid
+        # `refine` times finer), summed over its rises on the measure's grid
+        fine = np.linspace(grid[0], grid[-1], refine * (grid.size - 1) + 1)
+        sigma = sigma_resonant_nonsecular_analytic(deltas, fine, model)
+        D = 0.5 * np.linalg.norm(deltas) + cumulative_simpson(sigma, x=fine, initial=0.0)
+        return backflow_of(D[::refine])
+
+    def measure_and_closed_form(self, p):
+        model = ModelParams.from_dimensionless(s=4.0, p=p, alpha=0.67)
+        report = blp_measure(GeneratorSpec("simplified_nonsecular", model))
+        return report.measure, self.closed_form_backflow(model, report.best_deltas, report.grid)
+
+    def test_exact_as_p_vanishes(self):
+        measure, closed = self.measure_and_closed_form(1e-9)
+        assert measure == pytest.approx(closed, rel=1e-8)
+
+    def test_gap_scales_as_p_squared(self):
+        gaps = [m / c - 1.0 for m, c in map(self.measure_and_closed_form, (0.084, 0.042))]
+        assert 3.5 <= gaps[0] / gaps[1] <= 4.5
+
+
 class TestSigmaUndriven:
     def test_sign_opposite_to_rate(self):
         params = UndrivenParams(alpha=1.0, lambda_width=1.0)
@@ -297,6 +325,13 @@ class TestSearch:
         report = blp_measure(spec, T_max=15.0, config=cfg)
         assert report.best_pair.rho1.purity == pytest.approx(1.0, abs=1e-9)
         assert report.best_pair.rho2.purity == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("kw", [{"step": 0.0}, {"step": -0.01}, {"step": np.inf},
+                                    {"step": np.nan}, {"T_max": -1.0}, {"T_max": np.inf}])
+    def test_bad_horizon_or_step_rejected(self, kw):
+        spec = GeneratorSpec("undriven", UndrivenParams(alpha=1.0, lambda_width=1.0))
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            blp_measure(spec, **kw)
 
     def test_reported_distance_is_the_best_pairs(self):
         spec = GeneratorSpec("undriven", UndrivenParams(alpha=1.0, lambda_width=1.0))

@@ -64,6 +64,24 @@ class TestEvolve:
         assert code == 2
 
 
+class TestHorizonAndStepFlags:
+    @pytest.mark.parametrize("argv", [
+        ["rhp", "--step", "-0.01"],
+        ["rhp", "--step", "inf"],
+        ["evolve", "--step", "-0.01"],
+        ["evolve", "--tmax", "-1"],
+        ["evolve", "--step", "0"],
+        ["blp", "--step", "-0.01"],
+        ["blp", "--substep", "nan"],
+    ])
+    def test_bad_horizon_or_step_is_input_error(self, argv, tmp_path, capsys):
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert f"argument {argv[1]}: " in err
+        assert repr(argv[2]) in err
+        assert not (tmp_path / "x.csv").exists()
+
+
 class TestRhp:
     def test_json_summary(self, tmp_path):
         out = tmp_path / "g.csv"

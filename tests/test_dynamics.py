@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from backflow.dynamics import (
     IntegrationError,
@@ -15,7 +16,7 @@ from backflow.generator import GeneratorSpec, unvec, vec
 from backflow.params import ModelParams, UndrivenParams
 from backflow.rates import PoleError
 
-from conftest import random_bloch, random_density
+from conftest import apply_propagators, random_bloch, random_density, rk4_propagators
 
 
 @pytest.fixture(scope="module")
@@ -142,14 +143,26 @@ class TestPropagator:
         assert np.linalg.norm(full - left @ right) < 1e-8
 
     def test_matches_evolve(self, secular_spec, rng):
+        # evolve against the RK4 oracle, a different integrator
         grid = np.linspace(0.0, 5.0, 26)
-        props = propagator_grid(secular_spec, grid)
+        props = rk4_propagators(secular_spec, grid, substep=1e-3)
         for _ in range(3):
             rho0 = QubitState.from_bloch(*random_bloch(rng))
             traj = evolve(rho0, secular_spec, grid, renormalize=False)
             for k in (5, 12, 25):
                 direct = unvec(props[k] @ vec(rho0.rho))
                 assert np.abs(direct - traj.rhos[k]).max() < 1e-8
+
+    @pytest.mark.parametrize(
+        "regime, p",
+        [("secular", 30.0), ("full_nonsecular", 9.5), ("simplified_nonsecular", 0.09)],
+    )
+    def test_matches_fine_rk4_over_benchmark_horizon(self, regime, p):
+        # the default grid and Magnus step against RK4 at h = 1e-4 on [0, 30]
+        spec = GeneratorSpec(regime, ModelParams.from_dimensionless(s=6.0, p=p, alpha=1.0))
+        grid = np.linspace(0.0, 30.0, 3001)
+        err = np.abs(propagator_grid(spec, grid) - rk4_propagators(spec, grid, substep=1e-4)).max()
+        assert err < 1e-8
 
     def test_trace_and_hermiticity_preserving(self, secular_spec, rng):
         props = propagator_grid(secular_spec, np.linspace(0.0, 8.0, 17))
@@ -196,14 +209,60 @@ class TestPropagator:
         assert np.abs(ours - ref).max() < 1e-8
 
 
+#: p window of each driven generator under ``--regime auto``, capped at 30.
+P_WINDOWS = {"simplified_nonsecular": (0.01, 0.1), "full_nonsecular": (0.1, 10.0),
+             "secular": (10.0, 30.0)}
+
+
+class TestPropagatorProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        regime=st.sampled_from(sorted(P_WINDOWS)),
+        s=st.floats(0.0, 6.0),
+        u=st.floats(0.0, 1.0),
+        alpha=st.floats(0.1, 1.0),
+        k=st.integers(10, 250),
+        frac=st.floats(0.05, 0.95),
+        theta=st.floats(0.0, np.pi),
+        phi=st.floats(0.0, 2.0 * np.pi),
+    )
+    def test_composition_trace_and_trajectory(self, regime, s, u, alpha, k, frac, theta, phi):
+        lo, hi = P_WINDOWS[regime]
+        p = lo * (hi / lo) ** u
+        spec = GeneratorSpec(regime, ModelParams.from_dimensionless(s=s, p=p, alpha=alpha))
+        t1, t2 = 0.01 * (k + frac), 3.0  # t1 off the 0.01 step lattice
+        full = propagator(spec, 0.0, t2)
+        split = propagator(spec, t1, t2) @ propagator(spec, 0.0, t1)
+        assert np.linalg.norm(full - split) < 1e-8
+
+        grid = np.linspace(0.0, t2, 301)
+        props = propagator_grid(spec, grid)
+        tr = vec(np.eye(2))
+        assert np.abs(tr @ props - tr).max() < 1e-12
+
+        rho0 = QubitState.from_bloch(
+            np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)
+        )
+        direct = apply_propagators(props, rho0.rho)
+        low = np.linalg.eigvalsh(0.5 * (direct + direct.conj().transpose(0, 2, 1)))[:, 0]
+        if low.min() < -1e-6:
+            first = grid[np.argmax(low < -1e-6)]
+            with pytest.raises(IntegrationError, match=f"at t={first:.6g}:"):
+                evolve(rho0, spec, grid, renormalize=False)
+        else:
+            traj = evolve(rho0, spec, grid, renormalize=False)
+            assert np.abs(traj.rhos - direct).max() < 1e-12
+
+
 class TestBlochMaps:
     def test_linear_part_reproduces_differences(self, secular_spec, rng):
         grid = np.linspace(0.0, 4.0, 41)
-        props = propagator_grid(secular_spec, grid)
-        R = bloch_linear_grid(props)
+        R = bloch_linear_grid(propagator_grid(secular_spec, grid))
+        oracle = rk4_propagators(secular_spec, grid, substep=1e-3)
         v1, v2 = random_bloch(rng), random_bloch(rng)
-        t1 = evolve(QubitState.from_bloch(*v1), secular_spec, grid, renormalize=False)
-        t2 = evolve(QubitState.from_bloch(*v2), secular_spec, grid, renormalize=False)
+        rho1, rho2 = QubitState.from_bloch(*v1), QubitState.from_bloch(*v2)
+        t1 = Trajectory(grid, apply_propagators(oracle, rho1.rho))
+        t2 = Trajectory(grid, apply_propagators(oracle, rho2.rho))
         delta_direct = t1.bloch - t2.bloch
         delta_mapped = np.einsum("nij,j->ni", R, v1 - v2)
         assert np.abs(delta_direct - delta_mapped).max() < 1e-7
@@ -212,11 +271,14 @@ class TestBlochMaps:
 class TestUndrivenMap:
     def test_exact_map_matches_rk4(self, weak_undriven_spec, rng):
         grid = np.linspace(0.0, 20.0, 201)
+        oracle = rk4_propagators(weak_undriven_spec, grid, substep=1e-3)
         for _ in range(3):
             rho0 = QubitState.from_bloch(*random_bloch(rng))
             exact = undriven_trajectory(rho0, weak_undriven_spec.params, grid)
-            rk4 = evolve(rho0, weak_undriven_spec, grid, renormalize=False)
-            assert np.abs(exact.rhos - rk4.rhos).max() < 1e-9
+            rk4 = apply_propagators(oracle, rho0.rho)
+            magnus = evolve(rho0, weak_undriven_spec, grid, renormalize=False)
+            assert np.abs(exact.rhos - rk4).max() < 1e-9
+            assert np.abs(exact.rhos - magnus.rhos).max() < 1e-9
 
     def test_map_smooth_through_pole(self):
         from backflow.rates import nondriven_first_pole

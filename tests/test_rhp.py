@@ -219,3 +219,9 @@ class TestMeasure:
     def test_report_method_tags(self, secular_spec):
         assert rhp_measure(secular_spec, T_max=1.0, method="numeric").method == "numeric"
         assert "secular-analytic" in rhp_measure(secular_spec, T_max=1.0).method
+
+    @pytest.mark.parametrize("kw", [{"step": 0.0}, {"step": -0.01}, {"step": np.inf},
+                                    {"step": np.nan}, {"T_max": -1.0}, {"T_max": np.inf}])
+    def test_bad_horizon_or_step_rejected(self, secular_spec, kw):
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            rhp_measure(secular_spec, **kw)
