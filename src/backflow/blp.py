@@ -38,8 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.optimize import minimize
 
 from .dynamics import (
     DEFAULT_SUBSTEP,
@@ -98,6 +96,11 @@ def sigma_numeric(traj1: Trajectory, traj2: Trajectory) -> np.ndarray:
     return np.gradient(D, traj1.grid, edge_order=2)
 
 
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y over x, starting at 0."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
+
+
 def _check_starts_at_zero(times: np.ndarray):
     if times[0] != 0.0:
         raise ValueError("sigma closed forms integrate rates from 0; grid must start there")
@@ -119,8 +122,8 @@ def sigma_secular_analytic(
     gm, g0, gp = gammas
     coh_rate = 0.5 * (c.c_plus**2 * gp + c.c_minus**2 * gm + 4.0 * c.c_zero**2 * g0)
     pop_rate = c.c_plus**2 * gp + c.c_minus**2 * gm
-    coh = cumulative_trapezoid(coh_rate, times, initial=0.0)
-    pop = cumulative_trapezoid(pop_rate, times, initial=0.0)
+    coh = _cumulative_trapezoid(coh_rate, times)
+    pop = _cumulative_trapezoid(pop_rate, times)
     if literature_form:
         coh_rate, pop_rate = pop_rate, coh_rate
         coh, pop = pop, coh
@@ -148,7 +151,7 @@ def sigma_resonant_nonsecular_analytic(
     times = np.atleast_1d(np.asarray(times, dtype=float))
     _check_starts_at_zero(times)
     gamma, _ = lorentzian_rate(times, params.regime.s, params.reservoir.alpha)
-    E = np.exp(-cumulative_trapezoid(gamma, times, initial=0.0))
+    E = np.exp(-_cumulative_trapezoid(gamma, times))
     if literature_form:
         br = (dx * dx - dz * dz) + 2.0 * dy * dy
         num = -gamma * E * E * br
@@ -300,6 +303,9 @@ def blp_measure(
 
     directions = fibonacci_sphere(config.n_directions)
     values = np.array([objective(u) for u in directions])
+    # imported here: scipy is slow to import, and only this refine uses it
+    from scipy.optimize import minimize
+
     for idx in np.argsort(-values, kind="stable")[: config.n_refine]:
         minimize(
             lambda x: -objective(_direction(*x)),

@@ -180,7 +180,8 @@ def _parse_triple(text: str, flag: str) -> tuple[float, float, float]:
 def cmd_rates(args) -> int:
     values = _resolved_values(args)
     if args.regime == "undriven":
-        alpha, lam = values["alpha"], values["lambda"]
+        params = UndrivenParams(alpha=values["alpha"], lambda_width=values["lambda"])
+        alpha, lam = params.alpha, params.lambda_width
         t_end = args.tmax / lam
         prov_extra = {}
         pole = nondriven_first_pole(alpha, lam)

@@ -9,9 +9,13 @@ t + (1/2 -+ sqrt(3)/6) h and advances by exp(Omega) with
     Omega = h/2 (A1 + A2) + sqrt(3)/12 h^2 [A2, A1].
 
 Omega is a combination of generators and their commutators, so every step
-preserves trace and Hermiticity to rounding.  Trajectories are the
-propagators applied to the initial state, Phi(t_k, 0) vec(rho0); the test
-suite keeps classical RK4 as an independent oracle for both.
+preserves trace and Hermiticity to rounding.  The step exponentials are
+taken as one batch: a degree-14 Taylor polynomial after scaling by 2^-k to a
+largest 1-norm theta <= 1/2, then k squarings (Bader, Blanes, Casas,
+Mathematics 7, 1174 (2019)); the remainder bound theta^15 / 15! is at most
+2.3e-17.  Trajectories are the propagators applied to the initial state,
+Phi(t_k, 0) vec(rho0); the test suite keeps classical RK4 as an independent
+oracle for both.
 
 For the undriven model with lambda_width < 2 alpha, the decay rate has poles
 inside the time axis; the propagator cannot step across them, so grids
@@ -25,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .generator import (
     GeneratorSpec,
@@ -51,6 +54,9 @@ _PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 #: Two-point Gauss-Legendre nodes on [0, 1].
 _GAUSS_NODES = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
+
+#: Taylor degree of the step exponential (see the module docstring).
+_EXP_DEGREE = 14
 
 
 class IntegrationError(RuntimeError):
@@ -175,6 +181,19 @@ def evolve(
     return Trajectory(grid=grid, rhos=rhos, spec=spec)
 
 
+def _expm_batch(A: np.ndarray) -> np.ndarray:
+    """exp of each matrix in a stack: scale by 2^-k to 1-norm <= 1/2, Taylor, square k times."""
+    k = int(np.ceil(np.log2(max(2.0 * np.abs(A).sum(axis=-2).max(initial=0.0), 1.0))))
+    A = A / 2.0**k
+    eye = np.eye(A.shape[-1])
+    E = eye + A / _EXP_DEGREE
+    for j in range(_EXP_DEGREE - 1, 0, -1):
+        E = eye + (A @ E) / j
+    for _ in range(k):
+        E = E @ E
+    return E
+
+
 def propagator_grid(spec: GeneratorSpec, grid, substep: float = DEFAULT_SUBSTEP) -> np.ndarray:
     """Propagators Phi(t_k, grid[0]) at every grid point: (N, 4, 4).
 
@@ -205,7 +224,7 @@ def propagator_grid(spec: GeneratorSpec, grid, substep: float = DEFAULT_SUBSTEP)
     A1 = gen.batch(starts + _GAUSS_NODES[0] * h)
     A2 = gen.batch(starts + _GAUSS_NODES[1] * h)
     h = h[:, None, None]
-    steps = expm(0.5 * h * (A1 + A2) + (np.sqrt(3.0) / 12.0) * h * h * (A2 @ A1 - A1 @ A2))
+    steps = _expm_batch(0.5 * h * (A1 + A2) + (np.sqrt(3.0) / 12.0) * h * h * (A2 @ A1 - A1 @ A2))
     for j in range(1, len(steps)):
         steps[j] = steps[j] @ steps[j - 1]
     out[1:] = steps[ends - 1]

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 
@@ -45,6 +45,13 @@ DEFAULT_THRESHOLDS = (0.1, 10.0)
 _VALIDITY_MARGIN = 0.1
 
 
+def _require_finite(params):
+    """Reject NaN and infinite fields, which pass every ordered comparison."""
+    for f in fields(params):
+        if not math.isfinite(getattr(params, f.name)):
+            raise ValueError(f"{f.name} must be finite, got {getattr(params, f.name)}")
+
+
 @dataclass(frozen=True)
 class DriveParams:
     """Laser drive: qubit splitting, laser frequency and Rabi frequency.
@@ -59,6 +66,7 @@ class DriveParams:
     Omega: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.Omega < 0:
             raise ValueError(f"Rabi frequency must be nonnegative, got {self.Omega}")
 
@@ -80,6 +88,7 @@ class ReservoirParams:
     omega_0: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.alpha <= 0:
             raise ValueError(f"coupling alpha must be positive, got {self.alpha}")
         if self.lambda_width <= 0:
@@ -96,6 +105,7 @@ class RegimeParams:
     p: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.p < 0:
             raise ValueError(f"time-scale ratio p must be nonnegative, got {self.p}")
 
@@ -233,5 +243,6 @@ class UndrivenParams:
     lambda_width: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.alpha <= 0 or self.lambda_width <= 0:
             raise ValueError("alpha and lambda_width must be positive")

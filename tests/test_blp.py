@@ -4,6 +4,7 @@ from scipy.integrate import cumulative_simpson, cumulative_trapezoid
 
 from backflow.blp import (
     SearchConfig,
+    _cumulative_trapezoid,
     StatePair,
     backflow_of,
     bloch_map_grid,
@@ -85,6 +86,14 @@ class TestSigmaNumeric:
             t1 = undriven_trajectory(QubitState.from_bloch(*v1), params, grid)
             t2 = undriven_trajectory(QubitState.from_bloch(*v2), params, grid)
             assert sigma_numeric(t1, t2).max() <= 1e-8
+
+
+@pytest.mark.parametrize("n", [2, 3001, 20001])
+def test_cumulative_trapezoid_bit_identical_to_scipy(n, rng):
+    # the closed forms' decay exponents must not move by a single bit
+    x = np.concatenate(([0.0], np.cumsum(rng.uniform(0.001, 0.02, n - 1))))
+    y = rng.normal(size=n)
+    assert np.array_equal(_cumulative_trapezoid(y, x), cumulative_trapezoid(y, x, initial=0.0))
 
 
 class TestSigmaSecular:

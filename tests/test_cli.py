@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,6 +85,48 @@ class TestHorizonAndStepFlags:
         assert f"argument {argv[1]}: " in err
         assert repr(argv[2]) in err
         assert not (tmp_path / "x.csv").exists()
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("argv, field", [
+        (["rhp", "--Omega", "inf"], "Omega"),
+        (["rhp", "--omegaA", "inf"], "omega_A"),
+        (["rhp", "--alpha", "nan"], "alpha"),
+        (["rhp", "--Omega", "nan"], "Omega"),
+        (["rhp", "--lambda", "nan"], "lambda_width"),
+        (["rhp", "--regime", "undriven", "--alpha", "nan"], "alpha"),
+        (["evolve", "--Omega", "nan"], "Omega"),
+        (["blp", "--alpha", "nan"], "alpha"),
+        (["rates", "--omega0", "inf"], "omega_0"),
+        (["rates", "--regime", "undriven", "--alpha", "nan"], "alpha"),
+    ])
+    def test_non_finite_parameter_is_input_error(self, argv, field, tmp_path, capsys):
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 1
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+
+class TestImportPath:
+    def test_scipy_loaded_only_by_the_pair_search(self, tmp_path):
+        # a fresh interpreter, so modules loaded by other tests do not count
+        script = textwrap.dedent("""
+            import json, sys
+            from backflow.cli import main
+            out = sys.argv[1]
+            for cmd in ("rhp", "evolve", "rates"):
+                assert main([cmd, "--tmax", "2", "--out", f"{out}/{cmd}.csv"]) == 0
+            before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            assert main(["blp", "--tmax", "2", "--out", f"{out}/blp.csv"]) == 0
+            print(json.dumps([before, "scipy.optimize" in sys.modules]))
+        """)
+        src = Path(backflow.cli.__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        assert run.returncode == 0, run.stderr
+        before, optimize_loaded = json.loads(run.stdout.splitlines()[-1])
+        assert before == []
+        assert optimize_loaded
 
 
 class TestRhp:

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from backflow.dynamics import (
     IntegrationError,
+    _expm_batch,
     QubitState,
     Trajectory,
     bloch_linear_grid,
@@ -12,11 +13,34 @@ from backflow.dynamics import (
     propagator_grid,
     undriven_trajectory,
 )
-from backflow.generator import GeneratorSpec, unvec, vec
+from backflow.generator import GeneratorSpec, compile_generator, unvec, vec
 from backflow.params import ModelParams, UndrivenParams
 from backflow.rates import PoleError
 
-from conftest import apply_propagators, random_bloch, random_density, rk4_propagators
+from conftest import (
+    apply_propagators,
+    random_bloch,
+    random_density,
+    rk4_propagators,
+    rk4_propagators_stacked,
+)
+
+#: (regime, p) of the benchmark-horizon cases, checked against one shared RK4 run.
+HORIZON_CASES = [("secular", 30.0), ("full_nonsecular", 9.5), ("simplified_nonsecular", 0.09)]
+HORIZON_GRID = np.linspace(0.0, 30.0, 3001)
+
+
+def horizon_spec(regime, p):
+    return GeneratorSpec(regime, ModelParams.from_dimensionless(s=6.0, p=p, alpha=1.0))
+
+
+@pytest.fixture(scope="session")
+def horizon_rk4():
+    """RK4 at h = 1e-4 on [0, 30] for every horizon case, stepped together."""
+    props = rk4_propagators_stacked(
+        [horizon_spec(*case) for case in HORIZON_CASES], HORIZON_GRID, substep=1e-4
+    )
+    return dict(zip(HORIZON_CASES, props.transpose(1, 0, 2, 3)))
 
 
 @pytest.fixture(scope="module")
@@ -153,16 +177,46 @@ class TestPropagator:
                 direct = unvec(props[k] @ vec(rho0.rho))
                 assert np.abs(direct - traj.rhos[k]).max() < 1e-8
 
-    @pytest.mark.parametrize(
-        "regime, p",
-        [("secular", 30.0), ("full_nonsecular", 9.5), ("simplified_nonsecular", 0.09)],
-    )
-    def test_matches_fine_rk4_over_benchmark_horizon(self, regime, p):
+    @pytest.mark.parametrize("regime, p", HORIZON_CASES)
+    def test_matches_fine_rk4_over_benchmark_horizon(self, regime, p, horizon_rk4):
         # the default grid and Magnus step against RK4 at h = 1e-4 on [0, 30]
-        spec = GeneratorSpec(regime, ModelParams.from_dimensionless(s=6.0, p=p, alpha=1.0))
-        grid = np.linspace(0.0, 30.0, 3001)
-        err = np.abs(propagator_grid(spec, grid) - rk4_propagators(spec, grid, substep=1e-4)).max()
+        props = propagator_grid(horizon_spec(regime, p), HORIZON_GRID)
+        err = np.abs(props - horizon_rk4[regime, p]).max()
         assert err < 1e-8
+
+    @pytest.mark.parametrize("norm", [0.0, 1e-6, 1e-3, 0.1, 0.5, 1.0, 5.0, 50.0])
+    def test_step_exponential_matches_scipy(self, norm, rng):
+        from scipy.linalg import expm
+
+        # a diagonal shift brings the spectral radius near the 1-norm, so a
+        # too-short polynomial shows
+        A = rng.normal(size=(32, 4, 4)) + 1j * rng.normal(size=(32, 4, 4))
+        A += 4.0 * (rng.normal(size=(32, 1, 1)) + 1j * rng.normal(size=(32, 1, 1))) * np.eye(4)
+        A *= norm / np.abs(A).sum(axis=-2).max()
+        ref = expm(A)
+        rel = np.abs(_expm_batch(A) - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+        assert rel.max() <= 1e-13
+        if norm == 0.0:
+            assert np.array_equal(_expm_batch(A), np.broadcast_to(np.eye(4), A.shape))
+
+    def test_coarse_step_matches_scipy_magnus_product(self):
+        # step = substep = 0.5 puts ||Omega||_1 near 15, so the exponential
+        # scales and squares; the same Magnus product is built here with expm
+        from scipy.linalg import expm
+
+        spec = horizon_spec("secular", 30.0)
+        grid = np.linspace(0.0, 30.0, 61)
+        h = 0.5
+        gen = compile_generator(spec)
+        A1 = gen.batch(grid[:-1] + (0.5 - np.sqrt(3.0) / 6.0) * h)
+        A2 = gen.batch(grid[:-1] + (0.5 + np.sqrt(3.0) / 6.0) * h)
+        omega = 0.5 * h * (A1 + A2) + (np.sqrt(3.0) / 12.0) * h * h * (A2 @ A1 - A1 @ A2)
+        assert np.abs(omega).sum(axis=-2).max() > 10.0
+        ref = [np.eye(4)]
+        for step in expm(omega):
+            ref.append(step @ ref[-1])
+        err = np.abs(propagator_grid(spec, grid, substep=h) - np.array(ref)).max()
+        assert err < 1e-12
 
     def test_trace_and_hermiticity_preserving(self, secular_spec, rng):
         props = propagator_grid(secular_spec, np.linspace(0.0, 8.0, 17))

@@ -6,11 +6,21 @@ from backflow.params import (
     DriveParams,
     ModelParams,
     Regime,
+    RegimeParams,
     ReservoirParams,
     UndrivenParams,
     classify_regime,
     derive,
 )
+
+
+#: A valid value for every field of each parameter class with finiteness checks.
+VALID_FIELDS = {
+    DriveParams: dict(omega_A=1.0, omega_L=0.0, Omega=1.0),
+    ReservoirParams: dict(alpha=0.1, lambda_width=1.0, omega_0=0.0),
+    RegimeParams: dict(s=0.0, p=1.0),
+    UndrivenParams: dict(alpha=0.1, lambda_width=1.0),
+}
 
 
 def make(delta, omega_rabi, alpha=0.5, lam=1.0, omega_0=1.0, omega_L=0.0):
@@ -111,6 +121,16 @@ class TestBundles:
             ReservoirParams(alpha=-1.0, lambda_width=1.0)
         with pytest.raises(ValueError):
             UndrivenParams(alpha=0.1, lambda_width=0.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize(
+        "cls, field", [(cls, name) for cls, kw in VALID_FIELDS.items() for name in kw],
+        ids=lambda v: getattr(v, "__name__", v),
+    )
+    def test_non_finite_field_rejected(self, cls, field, bad):
+        # NaN passes every ordered check (x <= 0 is False), so finiteness is checked on its own
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            cls(**{**VALID_FIELDS[cls], field: bad})
 
     def test_negative_rabi_rejected(self):
         with pytest.raises(ValueError):
