@@ -2,9 +2,9 @@
 
 g(T) is computed two independent ways and cross-validated:
 
-* numerically, by pushing half of a maximally entangled pair through the
-  instantaneous map I + eps L(T) and extrapolating the trace-norm growth
-  rate to eps -> 0;
+* numerically, from the negative eigenvalues of the generator's Choi
+  matrix projected off the maximally entangled probe: the exact eps -> 0
+  limit of the probe's trace-norm growth under I + eps L(T);
 * analytically, from the negative parts of the decay rates.
 
 Wherever every rate is nonnegative the generator is a legitimate (completely

@@ -5,9 +5,9 @@ master equation whose decay rates can turn temporarily negative.  This
 package builds the generators of that equation in its secular, full
 nonsecular, single-channel nonsecular and undriven forms, integrates the
 dynamics, and quantifies memory effects with two measures: the divisibility
-defect (entangled-probe trace norm) and the information-backflow maximum
-(trace-distance revivals over initial state pairs), each cross-validated
-against its closed form.
+defect (projected Choi spectrum of the generator) and the
+information-backflow maximum (trace-distance revivals over initial state
+pairs), each cross-validated against its closed form.
 """
 
 from .params import (
@@ -55,8 +55,6 @@ from .dynamics import (
     undriven_trajectory,
 )
 from .rhp import (
-    ChoiProbe,
-    ExtrapolationError,
     RhpReport,
     g_numeric,
     g_numeric_grid,
@@ -84,10 +82,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlpReport",
-    "ChoiProbe",
     "Coefficients",
     "DriveParams",
-    "ExtrapolationError",
     "GeneratorSpec",
     "IntegrationError",
     "ModelParams",

@@ -27,7 +27,7 @@ from .dynamics import DEFAULT_SUBSTEP, IntegrationError, QubitState, evolve
 from .generator import GeneratorSpec
 from .params import UndrivenParams
 from .rates import PoleError, nondriven_first_pole, nondriven_rate, rate_table
-from .rhp import ExtrapolationError, rhp_measure
+from .rhp import rhp_measure
 from .plotting import emit_plot
 from .sweep import (
     AXIS_NAMES,
@@ -45,7 +45,7 @@ REGIME_CHOICES = ("auto", "secular", "full_nonsecular", "simplified_nonsecular",
 
 _CONFIG_KEYS = {"omega_A", "omega_L", "Omega", "alpha", "lambda", "omega_0"}
 
-_NUMERIC_ERRORS = (PoleError, IntegrationError, ExtrapolationError, ArithmeticError)
+_NUMERIC_ERRORS = (PoleError, IntegrationError, ArithmeticError)
 
 
 class CliInputError(ValueError):

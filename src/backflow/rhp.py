@@ -1,18 +1,18 @@
 """Divisibility-based non-Markovianity.
 
-The instantaneous divisibility defect g(T) is measured by pushing the
-maximally entangled probe |phi> = (|00> + |11>)/sqrt(2) through the extended
-map I + eps (L(T) ox id): build the Hermitian 4x4 matrix
+The instantaneous divisibility defect g(T) is the eps -> 0 limit of the
+trace-norm growth (||P + eps C||_1 - 1)/eps of the maximally entangled probe
+P = |phi><phi|, |phi> = (|00> + |11>)/sqrt(2), under the extended generator,
+C = (L(T) ox id)[P] (Rivas, Huelga, Plenio, PRL 105, 050403 (2010)).  The
+limit has a closed form: with Q = 1 - P,
 
-    M(eps) = |phi><phi| + eps (L(T) ox id)[|phi><phi|],
+    g = 2 sum max(-mu, 0) over the eigenvalues mu of Q C Q,
 
-take its trace norm (sum of |eigenvalues|), and Richardson-extrapolate the
-difference quotient (||M(eps)||_1 - 1)/eps down the epsilon ladder.  The
-result is nonnegative (clamped; a pre-clamp value below -1e-7 is an error)
-and is strictly positive exactly where the generator momentarily fails to be
-completely positive.  Only the dissipative part of L enters the probe: the
-commutator part contributes exactly zero to the limit but would pollute the
-finite-eps quotient with O(eps ||H||^2) curvature.
+so one batched 3x3 eigendecomposition per grid time gives g, with no
+extrapolation.  g is nonnegative and is strictly positive exactly where the
+generator momentarily fails to be completely positive.  Only the dissipative
+part of L enters: the commutator part C_H of C has Q C_H Q = 0.  Eigenvalues within a few ulps of the largest entry of C count as zero,
+so g is exactly 0 wherever the rates are nonnegative.
 
 The scalar measure is N = I / (I + 1) with I the time integral of g
 (trapezoid on the grid), so N = 0 for divisible dynamics and N -> 1 when the
@@ -28,7 +28,7 @@ uses the uncorrected 2*C0 weight in the nonsecular form).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,44 +42,12 @@ from .rates import (
     rate_table,
 )
 
-#: Probe perturbation ladder; each Richardson pair removes the O(eps) term.
-DEFAULT_EPSILONS = (1e-4, 5e-5, 2.5e-5)
-
 #: Default measure grid step in dimensionless time.
 DEFAULT_STEP = 1e-2
 
-BELL_STATE = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
-
-
-class ExtrapolationError(ArithmeticError):
-    """The epsilon-ladder estimates did not converge."""
-
-
-def _bell_projector() -> np.ndarray:
-    return np.outer(BELL_STATE, BELL_STATE.conj())
-
-
-@dataclass(frozen=True)
-class ChoiProbe:
-    """Entangled probe state and the epsilon ladder for the derivative limit."""
-
-    phi: np.ndarray = field(default_factory=_bell_projector)
-    epsilons: tuple[float, ...] = DEFAULT_EPSILONS
-
-    def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=complex)
-        if phi.shape != (4, 4):
-            raise ValueError("probe must be a 4x4 matrix")
-        if np.abs(phi @ phi - phi).max() > 1e-12 or abs(phi.trace() - 1.0) > 1e-12:
-            raise ValueError("probe must be a rank-one projector with unit trace")
-        if len(self.epsilons) < 3 or any(
-            e2 >= e1 for e1, e2 in zip(self.epsilons, self.epsilons[1:])
-        ) or self.epsilons[-1] <= 0:
-            raise ValueError(
-                "epsilon ladder must be positive, decreasing, and long enough "
-                "for two extrapolants (>= 3 entries)"
-            )
-        object.__setattr__(self, "phi", phi)
+#: Eigenvalues of the projected Choi block above -_ROUNDING * max|C| are
+#: rounding, not divisibility defect: a few ulps of the largest entry.
+_ROUNDING = 16.0 * np.finfo(float).eps
 
 
 def negative_part(x):
@@ -89,69 +57,38 @@ def negative_part(x):
     return float(out) if out.ndim == 0 else out
 
 
-def _extend_probe(L_batch: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """(L ox id)[phi] for a batch of superoperators: (N, 4, 4).
-
-    phi is expanded over first-factor matrix units, phi = sum E_rj ox B_rj;
-    L acts on the matrix units, whose images are columns of the superoperator
-    matrix (column-stacking index 2j + r).
-    """
-    N = L_batch.shape[0]
-    out = np.zeros((N, 4, 4), dtype=complex)
-    for r in range(2):
-        for j in range(2):
-            LE = L_batch[:, :, 2 * j + r].reshape(N, 2, 2).transpose(0, 2, 1)
-            B = phi[2 * r : 2 * r + 2, 2 * j : 2 * j + 2]
-            out += np.einsum("nab,cd->nacbd", LE, B).reshape(N, 4, 4)
-    return out
-
-
-def _quotients(C_batch: np.ndarray, probe: ChoiProbe) -> np.ndarray:
-    """Difference quotients (||phi + eps C||_1 - 1)/eps: (N, n_eps)."""
-    eps = np.asarray(probe.epsilons)
-    M = probe.phi[None, None, :, :] + eps[None, :, None, None] * C_batch[:, None, :, :]
-    eig = np.linalg.eigvalsh(M)
-    tn = np.abs(eig).sum(axis=-1)
-    return (tn - 1.0) / eps[None, :]
-
-
-def _richardson(q: np.ndarray, epsilons) -> tuple[np.ndarray, np.ndarray]:
-    """Consecutive first-order extrapolants; returns (last, |last - previous|)."""
-    eps = np.asarray(epsilons)
-    r = (eps[:-1] * q[:, 1:] - eps[1:] * q[:, :-1]) / (eps[:-1] - eps[1:])
-    return r[:, -1], np.abs(r[:, -1] - r[:, -2])
-
-
 def _as_generator(spec_or_gen) -> TimeGenerator:
     if isinstance(spec_or_gen, TimeGenerator):
         return spec_or_gen
     return compile_generator(spec_or_gen)
 
 
-def g_numeric_grid(spec_or_gen, times, probe: ChoiProbe | None = None) -> np.ndarray:
-    """Divisibility defect g at each grid time (vectorized)."""
-    probe = probe or ChoiProbe()
+def g_numeric_grid(spec_or_gen, times) -> np.ndarray:
+    """Divisibility defect g at each grid time (vectorized).
+
+    g = 2 sum max(-mu, 0) over the eigenvalues mu of Q C Q, where
+    C = (L ox id)[P] = sum_ij L(E_ij) ox E_ij / 2 and L(E_ij)[a, b] is
+    L[2b + a, 2j + i] in the column-stacking convention.  Q C Q is taken in
+    the basis ((|00> - |11>)/sqrt(2), |01>, |10>) of the range of Q; only
+    its lower triangle is filled, which is all eigvalsh reads.
+    """
     gen = _as_generator(spec_or_gen)
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    C = _extend_probe(gen.dissipative_batch(times), probe.phi)
-    q = _quotients(C, probe)
-    g, defect = _richardson(q, probe.epsilons)
-    tol = 1e-6 * np.maximum(1.0, np.abs(g))
-    if np.any(defect > tol):
-        worst = int(np.argmax(defect - tol))
-        raise ExtrapolationError(
-            f"epsilon-ladder estimates differ by {defect[worst]:.3e} at "
-            f"T={times[worst]:.6g}"
-        )
-    if np.any(g < -1e-7):
-        worst = float(g.min())
-        raise ExtrapolationError(f"g extrapolated to {worst:.3e} < -1e-7")
-    return np.clip(g, 0.0, None)
+    n = times.size
+    L = gen.dissipative_batch(times)
+    c = 0.5 * L.reshape(n, 2, 2, 2, 2).transpose(0, 2, 4, 1, 3).reshape(n, 4, 4)
+    m = np.zeros((n, 3, 3), dtype=complex)
+    m[:, 0, 0] = 0.5 * (c[:, 0, 0] - c[:, 0, 3] - c[:, 3, 0] + c[:, 3, 3])
+    m[:, 1:, 0] = (c[:, 1:3, 0] - c[:, 1:3, 3]) / np.sqrt(2.0)
+    m[:, 1:, 1:] = c[:, 1:3, 1:3]
+    mu = np.linalg.eigvalsh(m)
+    floor = _ROUNDING * np.abs(c).max(axis=(1, 2), initial=0.0)
+    return 2.0 * np.where(mu < -floor[:, None], -mu, 0.0).sum(axis=-1)
 
 
-def g_numeric(spec_or_gen, T: float, probe: ChoiProbe | None = None) -> float:
+def g_numeric(spec_or_gen, T: float) -> float:
     """Divisibility defect at a single time."""
-    return float(g_numeric_grid(spec_or_gen, [T], probe)[0])
+    return float(g_numeric_grid(spec_or_gen, [T])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +207,6 @@ def rhp_measure(
     T_max: float = 30.0,
     step: float = DEFAULT_STEP,
     method: str = "auto",
-    probe: ChoiProbe | None = None,
     literature_form: bool = False,
 ) -> RhpReport:
     """Integrate g over [0, T_max] and form N = I / (I + 1).
@@ -294,7 +230,7 @@ def rhp_measure(
 
     g_num = g_ana = None
     if method in ("numeric", "both"):
-        g_num = g_numeric_grid(spec, grid, probe)
+        g_num = g_numeric_grid(spec, grid)
     if method in ("analytic", "both"):
         g_ana = g_analytic_grid(spec, grid, literature_form)
 

@@ -143,6 +143,29 @@ class SweepSpec:
             raise ValueError("sweeps support one or two axes")
         if self.outputs not in OUTPUT_KINDS:
             raise ValueError(f"unknown outputs {self.outputs!r}; expected {OUTPUT_KINDS}")
+        self._check_base()
+
+    def _check_base(self):
+        """Reject a fixed parameter that no axis replaces and no point can accept.
+
+        Such a value would fail every point alike, so it is an input error of
+        the sweep, not a per-point one.
+        """
+        replaced = {ax.name for ax in self.axes}
+        if "s" in replaced:
+            replaced.add("omega_0")
+        if "p" in replaced:
+            replaced.update(("Omega", "omega_A"))
+        used = ("alpha", "lambda") if self.regime == "undriven" else PARAM_NAMES
+        values = resolve_values(self.fixed)
+        for name in (n for n in used if n not in replaced):
+            value = values[name]
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if name in ("alpha", "lambda") and value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+            if name == "Omega" and value < 0:
+                raise ValueError(f"Omega must be nonnegative, got {value}")
 
     def points(self) -> list[dict]:
         if len(self.axes) == 1:
@@ -200,7 +223,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[dict]:
     """Evaluate the sweep; one row per point, in deterministic product order.
 
     Failures are recorded in the row's ``error`` field and do not stop the
-    sweep.
+    sweep.  An invalid fixed parameter is rejected earlier, by ``SweepSpec``.
     """
     points = spec.points()
     rows: list[dict | None] = [None] * len(points)

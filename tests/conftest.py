@@ -34,6 +34,53 @@ def apply_propagators(props: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return (props @ np.asarray(rho).T.reshape(-1)).reshape(-1, 2, 2).transpose(0, 2, 1)
 
 
+#: The maximally entangled probe (|00> + |11>)/sqrt(2) and its projector.
+BELL_STATE = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
+BELL_PROJECTOR = np.outer(BELL_STATE, BELL_STATE.conj())
+
+#: Probe perturbation ladder; each Richardson pair removes the O(eps) term.
+EPS_LADDER = (1e-4, 5e-5, 2.5e-5)
+
+
+def _extend_probe(L_batch: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """(L ox id)[phi] for a batch of superoperators: (N, 4, 4).
+
+    phi is expanded over first-factor matrix units, phi = sum E_rj ox B_rj;
+    L acts on the matrix units, whose images are columns of the superoperator
+    matrix (column-stacking index 2j + r).
+    """
+    N = L_batch.shape[0]
+    out = np.zeros((N, 4, 4), dtype=complex)
+    for r in range(2):
+        for j in range(2):
+            LE = L_batch[:, :, 2 * j + r].reshape(N, 2, 2).transpose(0, 2, 1)
+            B = phi[2 * r : 2 * r + 2, 2 * j : 2 * j + 2]
+            out += np.einsum("nab,cd->nacbd", LE, B).reshape(N, 4, 4)
+    return out
+
+
+def eps_ladder_g(gen, times, phi) -> np.ndarray:
+    """Divisibility defect g by the finite-eps trace-norm quotient: (N,).
+
+    The test oracle for the program's projected Choi spectrum.  The
+    quotients (||phi + eps C||_1 - 1)/eps, C = (L ox id)[phi] with the
+    dissipative part of L, are taken down ``EPS_LADDER`` and
+    Richardson-extrapolated to eps -> 0; consecutive extrapolants must agree
+    to 1e-6 relative, and g is clamped at 0 (a value below -1e-7 is an
+    error).
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    C = _extend_probe(gen.dissipative_batch(times), np.asarray(phi, dtype=complex))
+    eps = np.asarray(EPS_LADDER)
+    M = phi[None, None, :, :] + eps[None, :, None, None] * C[:, None, :, :]
+    q = (np.abs(np.linalg.eigvalsh(M)).sum(axis=-1) - 1.0) / eps
+    r = (eps[:-1] * q[:, 1:] - eps[1:] * q[:, :-1]) / (eps[:-1] - eps[1:])
+    g, defect = r[:, -1], np.abs(r[:, -1] - r[:, -2])
+    assert np.all(defect <= 1e-6 * np.maximum(1.0, np.abs(g))), defect.max()
+    assert np.all(g >= -1e-7), g.min()
+    return np.clip(g, 0.0, None)
+
+
 def _integration_plan(grid: np.ndarray, substep: float):
     """Substep start times, sizes, and the substep index ending each grid point."""
     if substep <= 0:

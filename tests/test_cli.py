@@ -142,6 +142,17 @@ class TestRhp:
         lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert lines[0] == "T,g_numeric,g_analytic"
 
+    def test_undriven_both_methods_past_the_pole(self, tmp_path):
+        # g reaches ~2e3 next to the rate pole at t1 = 12.17; numeric and
+        # closed form must still agree there
+        js = tmp_path / "u.json"
+        code = main(["rhp", "--regime", "undriven", "--alpha", "0.6", "--lambda", "1",
+                     "--method", "both", "--out", str(tmp_path / "u.csv"), "--json", str(js)])
+        assert code == 0
+        payload = json.loads(js.read_text())
+        assert payload["method"] == "both:undriven-analytic"
+        assert payload["cross_validation_max_error"] < 1e-8
+
     def test_format_json_stdout(self, capsys):
         code = main(["rhp", "--regime", "undriven", "--alpha", "0.1",
                      "--tmax", "10", "--format", "json"])
@@ -312,6 +323,24 @@ class TestSweep:
         assert main(["sweep", "--axis", "bogus=0:1:5"]) == 1
         assert main(["sweep", "--axis", "alpha=0:1"]) == 1
         assert main(["sweep"]) == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--alpha", "nan", "--axis", "p=0.1:1:2"], "alpha must be finite, got nan"),
+        (["--Omega", "inf", "--axis", "s=0:1:2"], "Omega must be finite, got inf"),
+        (["--regime", "undriven", "--lambda", "-1", "--axis", "alpha=0.5:1:2"],
+         "lambda must be positive, got -1.0"),
+    ])
+    def test_invalid_fixed_parameter_is_input_error(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "bad.csv"
+        assert main(["sweep", *argv, "--outputs", "rhp", "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_axis_replaces_invalid_fixed_parameter(self, tmp_path):
+        out = tmp_path / "ok.csv"
+        assert main(["sweep", "--alpha", "nan", "--axis", "alpha=0.5:1:2",
+                     "--outputs", "rates", "--tmax", "2", "--out", str(out)]) == 0
+        assert "ValueError" not in out.read_text()
 
     def test_two_axis_grid(self, tmp_path):
         out = tmp_path / "grid.csv"
