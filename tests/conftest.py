@@ -70,7 +70,8 @@ def eps_ladder_g(gen, times, phi) -> np.ndarray:
     error).
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    C = _extend_probe(gen.dissipative_batch(times), np.asarray(phi, dtype=complex))
+    phi = np.asarray(phi, dtype=complex)
+    C = _extend_probe(gen.dissipative_batch(times), phi)
     eps = np.asarray(EPS_LADDER)
     M = phi[None, None, :, :] + eps[None, :, None, None] * C[:, None, :, :]
     q = (np.abs(np.linalg.eigvalsh(M)).sum(axis=-1) - 1.0) / eps
