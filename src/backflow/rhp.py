@@ -11,8 +11,9 @@ limit has a closed form: with Q = 1 - P,
 so one batched 3x3 eigendecomposition per grid time gives g, with no
 extrapolation.  g is nonnegative and is strictly positive exactly where the
 generator momentarily fails to be completely positive.  Only the dissipative
-part of L enters: the commutator part C_H of C has Q C_H Q = 0.  Eigenvalues within a few ulps of the largest entry of C count as zero,
-so g is exactly 0 wherever the rates are nonnegative.
+part of L enters: the commutator part C_H of C has Q C_H Q = 0.  Eigenvalues
+within a few ulps of the largest entry of C count as zero, so rounding never
+reads as a defect where the generator is completely positive.
 
 The scalar measure is N = I / (I + 1) with I the time integral of g
 (trapezoid on the grid), so N = 0 for divisible dynamics and N -> 1 when the
